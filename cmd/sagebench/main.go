@@ -8,8 +8,8 @@
 // With no -experiment it runs the full suite in order. The -cal flag
 // selects whether software preparation throughputs come from timing this
 // repository's Go decompressors on this machine (measured) or from the
-// paper's published component ratios (paper); see DESIGN.md's
-// hybrid-calibration note. The -json flag additionally writes every
+// paper's published component ratios (paper); see docs/DESIGN.md,
+// "Hybrid calibration". The -json flag additionally writes every
 // experiment's machine-readable metrics (latency percentiles, speedups,
 // ratios) as one JSON object keyed by experiment ID.
 package main

@@ -8,10 +8,10 @@
 //     that discards reads not needing expensive mapping inside the SSD,
 //     sending only the remainder to the mapper.
 //
-// Substitution note (DESIGN.md): the real accelerators are RTL/testbed
-// artifacts; end-to-end behaviour here depends only on their throughput,
-// placement, and filter fraction, which are faithfully parameterized from
-// the papers.
+// Substitution note (docs/DESIGN.md, "Substitutions"): the real
+// accelerators are RTL/testbed artifacts; end-to-end behaviour here
+// depends only on their throughput, placement, and filter fraction,
+// which are faithfully parameterized from the papers.
 package accel
 
 import (

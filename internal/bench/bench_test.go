@@ -8,7 +8,7 @@ import (
 )
 
 // The shared suite keeps dataset generation + measurement out of each
-// test; tests assert the DESIGN.md shape criteria on its outputs.
+// test; tests assert the docs/DESIGN.md shape criteria on its outputs.
 var (
 	suiteOnce sync.Once
 	suite     *Suite

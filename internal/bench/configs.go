@@ -122,9 +122,9 @@ type Platform struct {
 	Cal Calibration
 	// VirtualScale multiplies the dataset's sizes when building the
 	// pipeline workload: the synthetic read sets are ~1000x smaller than
-	// the paper's (DESIGN.md), so the pipeline is fed sizes scaled back
-	// up; otherwise fixed per-batch latencies (tR, pipeline fill) would
-	// dominate and hide every throughput effect.
+	// the paper's (docs/DESIGN.md, "Substitutions"), so the pipeline is
+	// fed sizes scaled back up; otherwise fixed per-batch latencies (tR,
+	// pipeline fill) would dominate and hide every throughput effect.
 	VirtualScale float64
 }
 

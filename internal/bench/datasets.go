@@ -3,14 +3,15 @@
 // them, the eight system configurations of Fig. 13, and one experiment
 // runner per table and figure.
 //
-// Substitution note (DESIGN.md): the paper's read sets are 8–176 GB
-// downloads from SRA/ENA. Each synthetic equivalent reproduces the
-// properties that drive the evaluation — sequencing technology (short
-// accurate vs long error-prone), depth, variant density and clustering,
-// indel-block statistics, chimera rate — scaled ~1000× down. Long-read
-// error rates are calibrated so the measured genomic compression ratios
-// land in the band Table 2 reports (real nanopore data compresses far
-// worse than its nominal accuracy suggests).
+// Substitution note (docs/DESIGN.md, "Substitutions"): the paper's read
+// sets are 8–176 GB downloads from SRA/ENA. Each synthetic equivalent
+// reproduces the properties that drive the evaluation — sequencing
+// technology (short accurate vs long error-prone), depth, variant
+// density and clustering, indel-block statistics, chimera rate — scaled
+// ~1000× down. Long-read error rates are calibrated so the measured
+// genomic compression ratios land in the band Table 2 reports (real
+// nanopore data compresses far worse than its nominal accuracy
+// suggests).
 package bench
 
 import (

@@ -37,7 +37,7 @@ func metricSlug(name string) string {
 type Suite struct {
 	Scale float64
 	// Cal selects measured or paper-calibrated software prep rates for
-	// the pipeline experiments (DESIGN.md hybrid-calibration note).
+	// the pipeline experiments (docs/DESIGN.md, "Hybrid calibration").
 	Cal Calibration
 
 	mu   sync.Mutex

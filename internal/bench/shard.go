@@ -10,10 +10,10 @@ import (
 )
 
 // This file models the sharded compression pipeline the same way the
-// rest of the suite models hardware (DESIGN.md hybrid calibration):
-// per-shard compression latencies are *measured* on the host, and the
-// worker-pool completion time is *computed* from the pool's scheduling
-// discipline. That separates the algorithmic speedup of sharding from
+// rest of the suite models hardware (docs/DESIGN.md, "Hybrid
+// calibration"): per-shard compression latencies are *measured* on the
+// host, and the worker-pool completion time is *computed* from the
+// pool's scheduling discipline. That separates the algorithmic speedup of sharding from
 // whatever core count the measuring machine happens to have — a 1-core
 // CI box and a 64-core server report the same scaling curve for the
 // same measured shard times. internal/shard's own bench_test.go holds

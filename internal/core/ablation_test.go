@@ -40,9 +40,9 @@ func encodedBits(t *testing.T, tab *AssociationTable, vals []uint64) uint64 {
 	return guide.Len() + data.Len()
 }
 
-// TestAblationClassCount is the design-choice ablation DESIGN.md calls
-// out: more width classes never hurt the encoded size, and the tuned
-// multi-class encoding clearly beats a single fixed width.
+// TestAblationClassCount is the design-choice ablation docs/DESIGN.md
+// calls out: more width classes never hurt the encoded size, and the
+// tuned multi-class encoding clearly beats a single fixed width.
 func TestAblationClassCount(t *testing.T) {
 	h, vals := ablationHist(11, 30000)
 	prev := uint64(1 << 62)

@@ -218,7 +218,11 @@ func DecompressFull(data []byte, externalCons genome.Seq) (*DecodeResult, error)
 		lengths[i] = len(seq)
 	}
 	if c.hdr.has(flagQuality) {
-		quals, err := qual.Decompress(c.quality, lengths)
+		decompress := qual.Decompress
+		if c.version == legacyFormatVersion {
+			decompress = qual.DecompressV1
+		}
+		quals, err := decompress(c.quality, lengths)
 		if err != nil {
 			return nil, err
 		}

@@ -12,7 +12,7 @@ import (
 // Container layout (all multi-byte integers are unsigned varints):
 //
 //	magic    "SAGe"
-//	version  u8 (1)
+//	version  u8 (2; 1 is still read)
 //	flags    u8 (hasQuality | hasHeaders<<1 | embedConsensus<<2 |
 //	             fixedReadLen<<3 | consensusHasN<<4)
 //	numReads
@@ -26,7 +26,10 @@ import (
 //	                      packed when consensusHasN
 //	streams               5 × (bitLen, byteLen, bytes):
 //	                      MPGA, MPA, MMPGA, MMPA, MBTA
-//	quality stream        (len, bytes) when hasQuality
+//	quality stream        (len, bytes) when hasQuality; coded by
+//	                      qual.Compress in version 2 and by the legacy
+//	                      bit-serial coder (qual.DecompressV1) in
+//	                      version 1, the only difference between them
 //	header stream         (len, bytes) when hasHeaders
 //
 // The five stream sections are stored in full before decoding starts; the
@@ -43,7 +46,14 @@ func IsContainer(data []byte) bool {
 	return len(data) >= len(magic) && bytes.Equal(data[:len(magic)], magic[:])
 }
 
-const formatVersion = 1
+// formatVersion is the block version the writer emits. Version 1
+// blocks, whose quality stream uses the legacy bit-serial coder, are
+// still read; docs/FORMAT.md ("Core block version 2: quality stream")
+// specifies the difference.
+const (
+	formatVersion       = 2
+	legacyFormatVersion = 1
+)
 
 // Flag bits.
 const (
@@ -85,6 +95,7 @@ type stream struct {
 
 // container is the fully parsed file.
 type container struct {
+	version uint8
 	hdr     header
 	streams [5]stream // MPGA, MPA, MMPGA, MMPA, MBTA
 	quality []byte
@@ -168,10 +179,10 @@ func parseContainer(data []byte) (*container, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver != formatVersion {
+	if ver != formatVersion && ver != legacyFormatVersion {
 		return nil, fmt.Errorf("core: unsupported version %d", ver)
 	}
-	c := &container{}
+	c := &container{version: ver}
 	flags, err := rd.ReadByte()
 	if err != nil {
 		return nil, err
@@ -311,7 +322,7 @@ func Inspect(data []byte) (string, error) {
 		return "", err
 	}
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "SAGe container v%d, %d bytes\n", formatVersion, len(data))
+	fmt.Fprintf(&b, "SAGe container v%d, %d bytes\n", c.version, len(data))
 	fmt.Fprintf(&b, "reads: %d, consensus: %d bases (embedded: %v), max read length: %d\n",
 		c.hdr.numReads, c.hdr.consensusLen, c.hdr.has(flagEmbedConsensus), c.hdr.maxReadLen)
 	if c.hdr.has(flagFixedReadLen) {

@@ -2,26 +2,29 @@
 //
 // Quality scores lack the long-range redundancy of DNA bases, so SAGe —
 // like Spring and the other genomic compressors it cites — compresses them
-// as a separate stream with a context model: each Phred score is coded
-// bit-by-bit with an adaptive binary range coder, conditioned on the two
-// preceding scores in the read. Decompression runs on the host CPU in the
-// paper; the codec here backs both the SAGe container and the Spring-like
-// baseline, so their quality ratios match (Table 2: "SAGe's quality score
-// (de)compression is based on the same software used in [Spring]").
+// as a separate stream with a context model conditioned on the two
+// preceding scores in the read. Each Phred score is coded as two 8-ary
+// decisions (its high and low three bits) with adaptive cumulative
+// frequency tables on a range coder, so decoding one score costs two
+// branch-free multiply-compare steps. Decompression runs on the host CPU
+// in the paper; the codec here backs both the SAGe container and the
+// Spring-like baseline, so their quality ratios match (Table 2: "SAGe's
+// quality score (de)compression is based on the same software used in
+// [Spring]").
+//
+// DecompressV1 keeps the original bit-serial coder (six adaptive binary
+// decisions per score) readable for containers written before core
+// block version 2; nothing writes that stream any more.
 package qual
 
-// The binary range coder follows the carry-propagating construction used
-// by LZMA: 32-bit range, 12-bit adaptive probabilities, 5-bit adaptation
-// shift.
+// The range coder follows the carry-propagating construction used by
+// LZMA: 32-bit range, renormalised a byte at a time below 2^24.
 
 import "sync"
 
-const (
-	probBits  = 12
-	probInit  = 1 << (probBits - 1)
-	adaptRate = 5
-	topValue  = 1 << 24
-)
+// topValue is the renormalisation threshold: the coder shifts out a
+// byte whenever the range drops below it.
+const topValue = 1 << 24
 
 type rcEncoder struct {
 	low       uint64
@@ -43,24 +46,6 @@ func getEncoder() *rcEncoder {
 }
 
 func putEncoder(e *rcEncoder) { encPool.Put(e) }
-
-// encodeBit codes bit under the adaptive probability *p (probability of
-// the bit being 0, in 1/4096 units) and updates *p.
-func (e *rcEncoder) encodeBit(p *uint16, bit int) {
-	bound := (e.rng >> probBits) * uint32(*p)
-	if bit == 0 {
-		e.rng = bound
-		*p += (1<<probBits - *p) >> adaptRate
-	} else {
-		e.low += uint64(bound)
-		e.rng -= bound
-		*p -= *p >> adaptRate
-	}
-	for e.rng < topValue {
-		e.shiftLow()
-		e.rng <<= 8
-	}
-}
 
 func (e *rcEncoder) shiftLow() {
 	if e.low < 0xFF000000 || e.low > 0xFFFFFFFF {
@@ -110,24 +95,4 @@ func (d *rcDecoder) next() byte {
 		return b
 	}
 	return 0
-}
-
-func (d *rcDecoder) decodeBit(p *uint16) int {
-	bound := (d.rng >> probBits) * uint32(*p)
-	var bit int
-	if d.code < bound {
-		d.rng = bound
-		*p += (1<<probBits - *p) >> adaptRate
-		bit = 0
-	} else {
-		d.code -= bound
-		d.rng -= bound
-		*p -= *p >> adaptRate
-		bit = 1
-	}
-	for d.rng < topValue {
-		d.code = d.code<<8 | uint32(d.next())
-		d.rng <<= 8
-	}
-	return bit
 }

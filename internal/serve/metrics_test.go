@@ -80,8 +80,16 @@ func TestMetricsExposition(t *testing.T) {
 	if resp := do(t, ts.URL+"/shard/0/reads", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/shard/0/reads: status %d", resp.StatusCode)
 	}
-	text = scrape(t, ts.URL)
-	if !strings.Contains(text, `sage_http_request_seconds_count{endpoint="shard_reads"} 1`) {
+	// The latency histogram is observed after the handler returns, which
+	// can be just after the client has read the whole body: wait for it.
+	counted := `sage_http_request_seconds_count{endpoint="shard_reads"} 1`
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		text = scrape(t, ts.URL)
+		if strings.Contains(text, counted) || time.Now().After(deadline) {
+			break
+		}
+	}
+	if !strings.Contains(text, counted) {
 		t.Error("shard_reads histogram did not count the request")
 	}
 	if !strings.Contains(text, "sage_decodes_total 1") {
