@@ -158,8 +158,7 @@ commands:
               [-no-headers] [-shard-reads 4096] [-threads N]
               [-reorder [-sort-mem MiB] [-tmpdir DIR]]
   recompress  [flags] archive.fq.gz [archive2.fq.gz ...]
-              -ref ref.txt [-out reads.sage] [-paired] [-shard-reads 4096]
-              [-threads N] [-reorder [-sort-mem MiB] [-tmpdir DIR]]
+              the compress flags; -out defaults to the input minus .gz
   decompress  -in reads.sage -out reads.fastq [-ref ref.txt] [-threads N]
               [-original-order [-sort-mem MiB] [-tmpdir DIR]]
   filter      -in reads.sage [-out match.fastq] [-ref ref.txt] [-threads N]
@@ -172,19 +171,21 @@ commands:
               [-pprof-addr :8845] [-slow-ms N]
   instorage   -in reads.sage [-ref ref.txt] [-channels 8]
 
-compress with -shard-reads 0 emits a single-block container; any other
-value emits a sharded, seekable container whose shards are compressed
-and decompressed in parallel on -threads workers (0 = all CPUs). With
--ref, sharded compression streams the input file batch by batch instead
-of loading it whole.
+compress emits a sharded, seekable container whose shards are
+compressed and decompressed in parallel on -threads workers (0 = all
+CPUs), streaming its inputs batch by batch instead of loading them
+whole. -denovo first assembles the consensus from the reads of every
+input (a pre-pass that holds them in memory), then streams the same
+way. decompress and inspect still read single-block containers written
+by older versions.
 
 compress accepts many inputs (lane splits) and packs them all into ONE
 sharded container with file-aware shard boundaries — no shard spans two
 source files — and a per-shard source manifest (container format v3,
 docs/FORMAT.md). With -paired, inputs are R1 R2 mate files taken
 pairwise: records are interleaved mate by mate, mate names are
-validated, and both mates always land in the same shard. Multi-file
-ingest streams and therefore needs -ref. Example:
+validated, and both mates always land in the same shard. A single
+unpaired input writes no manifest. Example:
 
   sage compress -paired -ref ref.txt -out run.sage lane1_R1.fq lane1_R2.fq lane2_R1.fq lane2_R2.fq
 
@@ -194,12 +195,11 @@ extension); plain and gzipped files can be mixed freely, including in
 -threads workers; generic single-member gzip decodes on a pipelined
 readahead goroutine, so decompression overlaps parsing either way.
 
-recompress is the gzip->sage migration path: it streams gzipped FASTQ
-archives straight into one sharded container (same ingest pipeline as
-compress, -ref required) and reports the ratio against both the raw
-FASTQ and the gzip input, the decode throughput, each input's decode
-tier, and a stage-attribution table proving the decoder was never the
-critical path. Example:
+recompress is the gzip->sage migration path: the same ingest as
+compress, writing byte-identical containers, that also reports the
+ratio against both the raw FASTQ and the gzip input, the decode
+throughput, each input's decode tier, and a stage-attribution table
+proving the decoder was never the critical path. Example:
 
   sage recompress -ref ref.txt -out run.sage lane1.fq.gz lane2.fq.gz
 
@@ -218,6 +218,9 @@ never the whole read set. With -original-order a reordered (v5)
 container is sorted back to the exact input order using the stored
 permutation — also out of core, under the same -sort-mem/-tmpdir
 bounds; for identity-order containers the flag is a free no-op.
+Every -out file (compress, recompress, decompress, filter) is written
+to a temp file and renamed in only on success, so a failed run leaves
+an existing file untouched.
 
 serve hosts a registry of sharded containers, each opened lazily (only
 indexes are resident). -in repeats, and a directory -in serves every
@@ -297,40 +300,61 @@ func cmdSimulate(args []string) error {
 	return nil
 }
 
-// writeContainer streams a container produced by write into out via a
-// temp file renamed in, so a failed run never clobbers an existing
-// output. The publish is crash-safe: the temp file is fsynced, then
-// its parent directory (so the temp's directory entry is durable),
-// then renamed, then the directory again (so the rename is) — a power
-// cut leaves either the old container or the new one, never a torn
-// file. Every failure path removes the temp file.
-func writeContainer(out string, write func(w io.Writer) (*shard.Stats, error)) (*shard.Stats, error) {
-	tmp := out + ".tmp"
-	of, err := os.Create(tmp)
+// publish streams write's output into path via a temp file renamed in,
+// so a failed run never clobbers an existing file. The publish is
+// crash-safe: the temp file is fsynced, then its parent directory (so
+// the temp's directory entry is durable), then renamed, then the
+// directory again (so the rename is) — a power cut leaves either the
+// old file or the new one, never a torn file. Every failure path
+// removes the temp file. A path that exists but is not a regular file
+// (/dev/null, a FIFO) cannot be replaced by a rename and is written
+// straight through.
+func publish(path string, write func(w io.Writer) error) error {
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	st, err := write(of)
+	err = write(f)
 	if err == nil {
-		err = of.Sync()
+		err = f.Sync()
 	}
-	if cerr := of.Close(); err == nil {
+	// The close error matters: on a full disk the final flush fails
+	// here, and swallowing it would publish a truncated file.
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = syncDir(filepath.Dir(out))
+		err = syncDir(filepath.Dir(path))
 	}
 	if err == nil {
-		err = os.Rename(tmp, out)
+		err = os.Rename(tmp, path)
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return nil, err
+		return err
 	}
-	if err := syncDir(filepath.Dir(out)); err != nil {
-		return nil, err
+	return syncDir(filepath.Dir(path))
+}
+
+// writeOutput runs write against the -out path through publish, or
+// streams it to stdout when no path was given.
+func writeOutput(path string, write func(w io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
 	}
-	return st, nil
+	return publish(path, write)
 }
 
 // syncDir fsyncs a directory, making its entries durable.
@@ -346,217 +370,70 @@ func syncDir(dir string) error {
 	return err
 }
 
-func cmdCompress(args []string) error {
-	fs := flag.NewFlagSet("compress", flag.ContinueOnError)
+// ingestConfig is one compress or recompress run: the flags both
+// commands share, validated, plus the input list.
+type ingestConfig struct {
+	name       string // subcommand: error prefix and trace ID
+	inputs     []string
+	out, ref   string
+	denovo     bool
+	paired     bool
+	noQual     bool
+	noHdr      bool
+	reorder    bool
+	shardReads int
+	threads    int
+	sortMem    int
+	tmpDir     string
+}
+
+// parseIngest parses and validates the ingest flags of compress and
+// recompress; outHelp documents the command's default -out. The caller
+// fills in that default.
+func parseIngest(name, outHelp string, args []string) (*ingestConfig, error) {
+	c := &ingestConfig{name: name}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	in := fs.String("in", "", "input FASTQ (alternative to positional inputs)")
-	out := fs.String("out", "", "output container (default: <first input>.sage)")
-	refPath := fs.String("ref", "", "consensus/reference sequence file")
-	denovo := fs.Bool("denovo", false, "derive the consensus from the reads (de Bruijn assembly)")
-	paired := fs.Bool("paired", false, "treat inputs as paired-end R1 R2 [R1 R2 ...] mate files, interleaved pairwise")
-	noQual := fs.Bool("no-quality", false, "discard quality scores")
-	noHdr := fs.Bool("no-headers", false, "discard read names")
-	shardReads := fs.Int("shard-reads", shard.DefaultShardReads, "reads per shard (0 = single-block container)")
-	threads := fs.Int("threads", 0, "compression workers (0 = all CPUs)")
-	doReorder := fs.Bool("reorder", false, "clump-sort reads by similarity before sharding (container format v5; decompress -original-order recovers input order)")
-	sortMem := fs.Int("sort-mem", 256, "reorder sort memory budget in MiB before spilling runs to disk")
-	tmpDir := fs.String("tmpdir", "", "directory for reorder spill files (default: the system temp dir)")
+	fs.StringVar(&c.out, "out", "", outHelp)
+	fs.StringVar(&c.ref, "ref", "", "consensus/reference sequence file")
+	fs.BoolVar(&c.denovo, "denovo", false, "derive the consensus from the reads (de Bruijn assembly pre-pass over every input)")
+	fs.BoolVar(&c.paired, "paired", false, "treat inputs as paired-end R1 R2 [R1 R2 ...] mate files, interleaved pairwise")
+	fs.BoolVar(&c.noQual, "no-quality", false, "discard quality scores")
+	fs.BoolVar(&c.noHdr, "no-headers", false, "discard read names")
+	fs.IntVar(&c.shardReads, "shard-reads", shard.DefaultShardReads, "reads per shard")
+	fs.IntVar(&c.threads, "threads", 0, "decode + compression workers (0 = all CPUs)")
+	fs.BoolVar(&c.reorder, "reorder", false, "clump-sort reads by similarity before sharding (container format v5; decompress -original-order recovers input order)")
+	fs.IntVar(&c.sortMem, "sort-mem", 256, "reorder sort memory budget in MiB before spilling runs to disk")
+	fs.StringVar(&c.tmpDir, "tmpdir", "", "directory for reorder spill files (default: the system temp dir)")
 	inputs, err := parseFlagsArgs(fs, args)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := checkThreads("compress", *threads); err != nil {
-		return err
+	if err := checkThreads(name, c.threads); err != nil {
+		return nil, err
 	}
-	if *shardReads < 0 {
-		return usagef("compress: -shard-reads must be >= 0 (0 = single block), got %d", *shardReads)
+	if c.shardReads <= 0 {
+		return nil, usagef("%s: -shard-reads must be > 0 (single-block containers are no longer written), got %d", name, c.shardReads)
 	}
-	if *sortMem <= 0 {
-		return usagef("compress: -sort-mem must be > 0 MiB, got %d", *sortMem)
+	if c.sortMem <= 0 {
+		return nil, usagef("%s: -sort-mem must be > 0 MiB, got %d", name, c.sortMem)
 	}
-	if *doReorder && *shardReads == 0 {
-		return usagef("compress: -reorder needs a sharded container; -shard-reads must be > 0")
-	}
-	if *doReorder && *denovo {
-		return usagef("compress: -reorder streams its input and needs -ref (-denovo holds the whole read set in memory)")
-	}
-	sortCfg := reorder.SortConfig{MemBudget: int64(*sortMem) << 20, TmpDir: *tmpDir}
 	// Inputs come positionally (possibly many) or via the classic -in
 	// (exactly one) — never both, and never silently dropped.
 	if *in != "" {
 		if len(inputs) > 0 {
-			return usagef("compress: pass inputs either via -in or as arguments, not both (-in %s plus %q)", *in, inputs)
+			return nil, usagef("%s: pass inputs either via -in or as arguments, not both (-in %s plus %q)", name, *in, inputs)
 		}
 		inputs = []string{*in}
 	}
 	if len(inputs) == 0 {
-		return usagef("compress: at least one input FASTQ is required (-in file, or positional arguments)")
+		return nil, usagef("%s: at least one input FASTQ is required (-in file, or positional arguments)", name)
 	}
-	if *paired && len(inputs)%2 != 0 {
-		return usagef("compress: -paired needs an even number of inputs (R1 R2 [R1 R2 ...]), got %d", len(inputs))
+	if c.paired && len(inputs)%2 != 0 {
+		return nil, usagef("%s: -paired needs an even number of inputs (R1 R2 [R1 R2 ...]), got %d", name, len(inputs))
 	}
-	if *out == "" {
-		*out = inputs[0] + ".sage"
-	}
-
-	shardOpt := func(cons genome.Seq) shard.Options {
-		opt := shard.DefaultOptions(cons)
-		opt.ShardReads = *shardReads
-		opt.Workers = *threads
-		opt.Core.IncludeQuality = !*noQual
-		opt.Core.IncludeHeaders = !*noHdr
-		return opt
-	}
-
-	// Multi-file (or paired-end) ingest: all inputs stream into one
-	// sharded container with file-aware shard boundaries and a source
-	// manifest (container format v3, see docs/FORMAT.md).
-	if *paired || len(inputs) > 1 {
-		return compressSources(inputs, *out, *refPath, *paired, *denovo, *shardReads, *doReorder, sortCfg, shardOpt)
-	}
-
-	// Sharded compression against a reference streams the input file:
-	// the whole read set is never in memory at once.
-	if *shardReads > 0 && !*denovo {
-		if *refPath == "" {
-			return fmt.Errorf("compress: pass -ref or -denovo")
-		}
-		cons, err := readRef(*refPath)
-		if err != nil {
-			return err
-		}
-		opt := shardOpt(cons)
-		f, err := os.Open(inputs[0])
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		// Inputs may be gzipped: the source stage sniffs the magic and
-		// decompresses transparently — member-parallel on -threads
-		// workers for BGZF/PGZ1 inputs, pipelined for generic gzip.
-		r, err := fastq.Sniff(f, fastq.SniffOptions{Name: inputs[0], Threads: *threads})
-		if err != nil {
-			return err
-		}
-		defer fastq.CloseSniffed(r)
-		var src fastq.BatchSource = fastq.NewBatchReader(r, opt.ShardReads)
-		if *doReorder {
-			stage, err := reorder.NewStage(src, reorder.Config{
-				Mode: reorder.ModeClump, BatchSize: opt.ShardReads, Sort: sortCfg,
-			})
-			if err != nil {
-				return err
-			}
-			defer stage.Close()
-			src = stage
-		}
-		st, err := writeContainer(*out, func(w io.Writer) (*shard.Stats, error) {
-			return shard.CompressPipeline(src, w, opt)
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s: %d bytes in %d shards (%d reads, %d B header+index)%s\n",
-			*out, st.CompressedBytes, st.Shards, st.Reads, st.HeaderBytes, reorderNote(st))
-		return nil
-	}
-
-	rs, err := readFASTQ(inputs[0])
-	if err != nil {
-		return err
-	}
-	var cons genome.Seq
-	switch {
-	case *denovo:
-		c, err := consensus.FromReads(rs, consensus.DefaultConfig())
-		if err != nil {
-			return fmt.Errorf("compress: de-novo consensus: %w", err)
-		}
-		cons = c.Seq
-		fmt.Printf("assembled consensus: %d bases in %d unitigs\n", len(cons), c.NumUnitigs)
-	case *refPath != "":
-		cons, err = readRef(*refPath)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("compress: pass -ref or -denovo")
-	}
-	raw := len(rs.Bytes())
-	if *shardReads > 0 { // only reachable with -denovo: -ref returned above
-		data, st, err := shard.Compress(rs, shardOpt(cons))
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("%s: %d -> %d bytes (%.2fx) in %d shards\n",
-			*out, raw, len(data), float64(raw)/float64(len(data)), st.Shards)
-		return nil
-	}
-	opt := core.DefaultOptions(cons)
-	opt.IncludeQuality = !*noQual
-	opt.IncludeHeaders = !*noHdr
-	opt.Workers = *threads
-	enc, err := core.Compress(rs, opt)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, enc.Data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d -> %d bytes (%.2fx); %d/%d reads mapped, %d chimeric, %d corner\n",
-		*out, raw, len(enc.Data), float64(raw)/float64(len(enc.Data)),
-		enc.Stats.NumMapped, enc.Stats.NumReads, enc.Stats.NumChimeric, enc.Stats.NumCorner)
-	return nil
-}
-
-// compressSources runs multi-file (optionally paired-end) ingest: it
-// opens every input (gzip is sniffed per file), builds the file-aware
-// batching reader, optionally interposes the similarity-reorder stage,
-// and streams one manifest-bearing container.
-func compressSources(inputs []string, out, refPath string, paired, denovo bool, shardReads int,
-	doReorder bool, sortCfg reorder.SortConfig, shardOpt func(genome.Seq) shard.Options) error {
-	if shardReads <= 0 {
-		return usagef("compress: multi-file ingest writes a sharded container; -shard-reads must be > 0")
-	}
-	if denovo {
-		return fmt.Errorf("compress: multi-file ingest streams its inputs and needs -ref (-denovo would require the whole read set in memory)")
-	}
-	if refPath == "" {
-		return fmt.Errorf("compress: multi-file ingest needs -ref")
-	}
-	cons, err := readRef(refPath)
-	if err != nil {
-		return err
-	}
-	opt := shardOpt(cons)
-
-	files := make([]*os.File, 0, len(inputs))
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	readers := make([]io.Reader, 0, len(inputs))
-	defer func() {
-		for _, r := range readers {
-			fastq.CloseSniffed(r)
-		}
-	}()
-	for _, path := range inputs {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		// Per-file gzip sniff: a run may mix plain and gzipped lanes,
-		// each decoding on its own pargz reader bounded by -threads.
-		r, err := fastq.Sniff(f, fastq.SniffOptions{Name: path, Threads: opt.Workers})
-		if err != nil {
-			return err
-		}
-		readers = append(readers, r)
+	if c.ref == "" && !c.denovo {
+		return nil, usagef("%s: pass -ref or -denovo", name)
 	}
 	// Manifest names are base names: the container travels, local
 	// directory layouts don't. That makes duplicates ambiguous — the
@@ -566,126 +443,75 @@ func compressSources(inputs []string, out, refPath string, paired, denovo bool, 
 	for _, path := range inputs {
 		base := filepath.Base(path)
 		if prev, dup := seen[base]; dup {
-			return usagef("compress: inputs %s and %s would both be recorded as %q in the source manifest; rename one", prev, path, base)
+			return nil, usagef("%s: inputs %s and %s would both be recorded as %q in the source manifest; rename one", name, prev, path, base)
 		}
 		seen[base] = path
 	}
-	var mr *fastq.MultiReader
-	if paired {
-		pairs := make([][2]fastq.NamedReader, 0, len(readers)/2)
-		for i := 0; i+1 < len(readers); i += 2 {
-			pairs = append(pairs, [2]fastq.NamedReader{
-				{Name: filepath.Base(inputs[i]), R: readers[i]},
-				{Name: filepath.Base(inputs[i+1]), R: readers[i+1]},
-			})
-		}
-		mr, err = fastq.NewPairedReader(pairs, opt.ShardReads)
-	} else {
-		named := make([]fastq.NamedReader, 0, len(readers))
-		for i, r := range readers {
-			named = append(named, fastq.NamedReader{Name: filepath.Base(inputs[i]), R: r})
-		}
-		mr, err = fastq.NewMultiReader(named, opt.ShardReads)
-	}
-	if err != nil {
-		return err
-	}
-	var src fastq.BatchSource = mr
-	if doReorder {
-		stage, err := reorder.NewStage(mr, reorder.Config{
-			Mode: reorder.ModeClump, BatchSize: mr.BatchSize(), Paired: paired, Sort: sortCfg,
-		})
-		if err != nil {
-			return err
-		}
-		defer stage.Close()
-		src = stage
-	}
-	st, err := writeContainer(out, func(w io.Writer) (*shard.Stats, error) {
-		return shard.CompressPipeline(src, w, opt)
-	})
-	if err != nil {
-		return err
-	}
-	mode := "files"
-	if paired {
-		mode = "paired-end mate files"
-	}
-	fmt.Printf("%s: %d bytes in %d shards (%d reads from %d %s, %d B header+index)%s\n",
-		out, st.CompressedBytes, st.Shards, st.Reads, len(inputs), mode, st.HeaderBytes, reorderNote(st))
-	srcs, perSrc := mr.Sources(), mr.SourceReads()
-	for i, s := range srcs {
-		fmt.Printf("  %s: %d reads\n", s.Display(), perSrc[i])
-	}
-	return nil
+	c.inputs = inputs
+	return c, nil
 }
 
-// cmdRecompress is the gzip→sage migration path: it streams gzipped
-// FASTQ archives (bgzip/BGZF and PGZ1 inputs decode member-parallel,
-// generic gzip pipelined) straight into one sharded container and
-// reports what the migration bought — ratio against both the raw FASTQ
-// and the gzip input, decode throughput, per-input decode tier, and a
-// stage-attribution table showing decompression never owned the
-// critical path.
-func cmdRecompress(args []string) error {
-	fs := flag.NewFlagSet("recompress", flag.ContinueOnError)
-	out := fs.String("out", "", "output container (default: first input, .gz stripped, + .sage)")
-	refPath := fs.String("ref", "", "consensus/reference sequence file (required: recompress streams)")
-	paired := fs.Bool("paired", false, "treat inputs as paired-end R1 R2 [R1 R2 ...] mate files, interleaved pairwise")
-	shardReads := fs.Int("shard-reads", shard.DefaultShardReads, "reads per shard")
-	threads := fs.Int("threads", 0, "decode + compression workers (0 = all CPUs)")
-	doReorder := fs.Bool("reorder", false, "clump-sort reads by similarity before sharding (container format v5)")
-	sortMem := fs.Int("sort-mem", 256, "reorder sort memory budget in MiB before spilling runs to disk")
-	tmpDir := fs.String("tmpdir", "", "directory for reorder spill files (default: the system temp dir)")
-	inputs, err := parseFlagsArgs(fs, args)
+// consensus loads -ref or, with -denovo, assembles one from the reads
+// of every input in order. The assembly is a pre-pass: its read set is
+// dropped before the streaming ingest reads the inputs again.
+func (c *ingestConfig) consensus() (genome.Seq, error) {
+	if !c.denovo {
+		return readRef(c.ref)
+	}
+	var all fastq.ReadSet
+	for _, path := range c.inputs {
+		rs, err := readFASTQ(path)
+		if err != nil {
+			return nil, err
+		}
+		all.Records = append(all.Records, rs.Records...)
+	}
+	asm, err := consensus.FromReads(&all, consensus.DefaultConfig())
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("%s: de-novo consensus: %w", c.name, err)
 	}
-	if err := checkThreads("recompress", *threads); err != nil {
-		return err
-	}
-	if *shardReads <= 0 {
-		return usagef("recompress: -shard-reads must be > 0, got %d", *shardReads)
-	}
-	if *sortMem <= 0 {
-		return usagef("recompress: -sort-mem must be > 0 MiB, got %d", *sortMem)
-	}
-	if len(inputs) == 0 {
-		return usagef("recompress: at least one gzipped FASTQ input is required")
-	}
-	if *paired && len(inputs)%2 != 0 {
-		return usagef("recompress: -paired needs an even number of inputs (R1 R2 [R1 R2 ...]), got %d", len(inputs))
-	}
-	if *refPath == "" {
-		return usagef("recompress: -ref is required (recompress streams its inputs)")
-	}
-	if *out == "" {
-		*out = strings.TrimSuffix(strings.TrimSuffix(inputs[0], ".gz"), ".gzip") + ".sage"
-	}
-	cons, err := readRef(*refPath)
+	fmt.Printf("assembled consensus: %d bases in %d unitigs\n", len(asm.Seq), asm.NumUnitigs)
+	return asm.Seq, nil
+}
+
+// ingestResult is what one ingest run reports back to its command.
+type ingestResult struct {
+	st *shard.Stats
+	// sources and sourceReads attribute the reads to the manifest's
+	// entries; both are nil for a single unpaired input.
+	sources     []fastq.Source
+	sourceReads []int
+	inBytes     int64           // on-disk input bytes
+	fastqBytes  []int64         // decoded FASTQ bytes, per input
+	decoders    []*pargz.Reader // per input; nil for plain-text FASTQ
+	elapsed     time.Duration   // from opening the inputs to the published container
+	stages      []obs.StageTiming
+}
+
+// ingest is the one compress path. It opens and sniffs every input
+// (gzip by magic: BGZF/PGZ1 decode member-parallel on -threads workers,
+// generic gzip pipelined), builds the batch source — a BatchReader for
+// one unpaired input, which keeps its container manifest-less, else a
+// file-aware multi-file or paired reader whose container carries a
+// source manifest (format v3) — interposes the similarity-reorder stage
+// when asked, and publishes one sharded container to c.out.
+func ingest(c *ingestConfig) (*ingestResult, error) {
+	cons, err := c.consensus()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	opt := shard.DefaultOptions(cons)
-	opt.ShardReads = *shardReads
-	opt.Workers = *threads
+	opt.ShardReads = c.shardReads
+	opt.Workers = c.threads
+	opt.Core.IncludeQuality = !c.noQual
+	opt.Core.IncludeHeaders = !c.noHdr
 
-	seen := make(map[string]string, len(inputs))
-	for _, path := range inputs {
-		base := filepath.Base(path)
-		if prev, dup := seen[base]; dup {
-			return usagef("recompress: inputs %s and %s would both be recorded as %q in the source manifest; rename one", prev, path, base)
-		}
-		seen[base] = path
-	}
-
-	trace := obs.NewTrace("recompress")
+	trace := obs.NewTrace(c.name)
 	start := time.Now()
+	res := &ingestResult{decoders: make([]*pargz.Reader, len(c.inputs))}
 	var (
-		files    []*os.File
-		readers  []io.Reader
-		inBytes  int64 // compressed (on-disk) input bytes
-		decoders []*pargz.Reader
+		files   []*os.File
+		readers []io.Reader
 	)
 	defer func() {
 		for _, r := range readers {
@@ -695,104 +521,160 @@ func cmdRecompress(args []string) error {
 			f.Close()
 		}
 	}()
-	for _, path := range inputs {
+	counted := make([]*countingReader, len(c.inputs))
+	named := make([]fastq.NamedReader, len(c.inputs))
+	for i, path := range c.inputs {
 		f, err := os.Open(path)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		files = append(files, f)
 		if fi, err := f.Stat(); err == nil {
-			inBytes += fi.Size()
+			res.inBytes += fi.Size()
 		}
-		r, err := fastq.Sniff(f, fastq.SniffOptions{Name: path, Threads: *threads, Trace: trace})
+		r, err := fastq.Sniff(f, fastq.SniffOptions{Name: path, Threads: c.threads, Trace: trace})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		readers = append(readers, r)
-		if zr, ok := r.(*pargz.Reader); ok {
-			decoders = append(decoders, zr)
-		} else {
-			decoders = append(decoders, nil)
-		}
+		res.decoders[i], _ = r.(*pargz.Reader)
+		counted[i] = &countingReader{r: r}
+		named[i] = fastq.NamedReader{Name: filepath.Base(path), R: counted[i]}
 	}
 
-	// Count decoded FASTQ bytes per input (pargz stats cover compressed
-	// inputs; the wrapper covers plain-text ones uniformly).
-	counted := make([]*countingReader, len(readers))
-	named := make([]fastq.NamedReader, len(readers))
-	for i, r := range readers {
-		counted[i] = &countingReader{r: r}
-		named[i] = fastq.NamedReader{Name: filepath.Base(inputs[i]), R: counted[i]}
-	}
-	var mr *fastq.MultiReader
-	if *paired {
+	var (
+		src fastq.BatchSource
+		mr  *fastq.MultiReader
+	)
+	switch {
+	case c.paired:
 		pairs := make([][2]fastq.NamedReader, 0, len(named)/2)
 		for i := 0; i+1 < len(named); i += 2 {
 			pairs = append(pairs, [2]fastq.NamedReader{named[i], named[i+1]})
 		}
 		mr, err = fastq.NewPairedReader(pairs, opt.ShardReads)
-	} else {
+	case len(named) > 1:
 		mr, err = fastq.NewMultiReader(named, opt.ShardReads)
+	default:
+		src = fastq.NewBatchReader(named[0].R, opt.ShardReads)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var src fastq.BatchSource = mr
-	if *doReorder {
-		stage, err := reorder.NewStage(mr, reorder.Config{
-			Mode: reorder.ModeClump, BatchSize: mr.BatchSize(), Paired: *paired,
-			Sort: reorder.SortConfig{MemBudget: int64(*sortMem) << 20, TmpDir: *tmpDir},
+	batch := opt.ShardReads
+	if mr != nil {
+		src, batch = mr, mr.BatchSize()
+	}
+	if c.reorder {
+		stage, err := reorder.NewStage(src, reorder.Config{
+			Mode: reorder.ModeClump, BatchSize: batch, Paired: c.paired,
+			Sort: reorder.SortConfig{MemBudget: int64(c.sortMem) << 20, TmpDir: c.tmpDir},
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer stage.Close()
 		src = stage
 	}
-	st, err := writeContainer(*out, func(w io.Writer) (*shard.Stats, error) {
+	err = publish(c.out, func(w io.Writer) (err error) {
 		sp := trace.StartSpan("shard-compress")
 		defer sp.End()
-		return shard.CompressPipeline(src, w, opt)
+		res.st, err = shard.CompressPipeline(src, w, opt)
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	res.elapsed = time.Since(start)
+	if mr != nil {
+		res.sources, res.sourceReads = mr.Sources(), mr.SourceReads()
+	}
+	res.fastqBytes = make([]int64, len(counted))
+	for i, cr := range counted {
+		res.fastqBytes[i] = cr.n
+	}
+	res.stages = trace.Stages()
+	return res, nil
+}
+
+func cmdCompress(args []string) error {
+	c, err := parseIngest("compress", "output container (default: <first input>.sage)", args)
 	if err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
-
-	var fastqBytes int64
-	for _, c := range counted {
-		fastqBytes += c.n
+	if c.out == "" {
+		c.out = c.inputs[0] + ".sage"
 	}
+	res, err := ingest(c)
+	if err != nil {
+		return err
+	}
+	st, from := res.st, ""
+	if res.sources != nil {
+		mode := "files"
+		if c.paired {
+			mode = "paired-end mate files"
+		}
+		from = fmt.Sprintf(" from %d %s", len(c.inputs), mode)
+	}
+	fmt.Printf("%s: %d bytes in %d shards (%d reads%s, %d B header+index)%s\n",
+		c.out, st.CompressedBytes, st.Shards, st.Reads, from, st.HeaderBytes, reorderNote(st))
+	for i, s := range res.sources {
+		fmt.Printf("  %s: %d reads\n", s.Display(), res.sourceReads[i])
+	}
+	return nil
+}
+
+// cmdRecompress is the gzip→sage migration path: compress's ingest,
+// with the default -out stripped of .gz, plus a report of what the
+// migration bought — ratio against both the raw FASTQ and the gzip
+// input, decode throughput, per-input decode tier, and a
+// stage-attribution table showing decompression never owned the
+// critical path.
+func cmdRecompress(args []string) error {
+	c, err := parseIngest("recompress", "output container (default: first input, .gz stripped, + .sage)", args)
+	if err != nil {
+		return err
+	}
+	if c.out == "" {
+		c.out = strings.TrimSuffix(strings.TrimSuffix(c.inputs[0], ".gz"), ".gzip") + ".sage"
+	}
+	res, err := ingest(c)
+	if err != nil {
+		return err
+	}
+	st := res.st
 	fmt.Printf("%s: %d bytes in %d shards (%d reads from %d inputs)%s\n",
-		*out, st.CompressedBytes, st.Shards, st.Reads, len(inputs), reorderNote(st))
-	for i, path := range inputs {
-		if zr := decoders[i]; zr != nil {
+		c.out, st.CompressedBytes, st.Shards, st.Reads, len(c.inputs), reorderNote(st))
+	var fastqBytes int64
+	for i, path := range c.inputs {
+		fastqBytes += res.fastqBytes[i]
+		if zr := res.decoders[i]; zr != nil {
 			zst := zr.Stats()
 			fmt.Printf("  %s: %s, %d members, %d B compressed -> %d B FASTQ\n",
 				filepath.Base(path), zr.Tier(), zst.Members, zst.CompressedBytes, zst.DecodedBytes)
 		} else {
-			fmt.Printf("  %s: plain FASTQ, %d B\n", filepath.Base(path), counted[i].n)
+			fmt.Printf("  %s: plain FASTQ, %d B\n", filepath.Base(path), res.fastqBytes[i])
 		}
 	}
 	containerBytes := int64(st.CompressedBytes)
 	fmt.Printf("totals: %d B gzip input -> %d B FASTQ -> %d B sage\n",
-		inBytes, fastqBytes, containerBytes)
+		res.inBytes, fastqBytes, containerBytes)
 	if containerBytes > 0 && fastqBytes > 0 {
 		fmt.Printf("  sage vs FASTQ: %.2fx   sage vs gzip input: %.2fx\n",
 			float64(fastqBytes)/float64(containerBytes),
-			float64(inBytes)/float64(containerBytes))
+			float64(res.inBytes)/float64(containerBytes))
 	}
-	secs := elapsed.Seconds()
-	if secs > 0 {
+	if secs := res.elapsed.Seconds(); secs > 0 {
 		fmt.Printf("  decoded+recompressed in %.2fs (%.1f MB/s FASTQ-side, %.1f MB/s gzip-side)\n",
-			secs, float64(fastqBytes)/1e6/secs, float64(inBytes)/1e6/secs)
+			secs, float64(fastqBytes)/1e6/secs, float64(res.inBytes)/1e6/secs)
 	}
 	fmt.Printf("stage attribution (gunzip-wait is decode stalling the pipeline):\n%s",
-		obs.StageTable(trace.Stages()))
+		obs.StageTable(res.stages))
 	return nil
 }
 
-// countingReader counts bytes delivered; recompress uses it to report
+// countingReader counts bytes delivered; ingest uses it to report
 // FASTQ-side volume uniformly across compressed and plain inputs.
 type countingReader struct {
 	r io.Reader
@@ -849,59 +731,45 @@ func cmdDecompress(args []string) error {
 			return err
 		}
 	}
-	w := io.Writer(os.Stdout)
-	var outF *os.File
-	if *out != "" {
-		if outF, err = os.Create(*out); err != nil {
-			return err
-		}
-		w = outF
-	}
 	if shard.IsContainer(magic[:]) {
 		// Sharded containers stream: the container is opened lazily
 		// (only the index is resident) and shards are decoded on a
 		// -threads pool but written in order, holding at most
 		// workers+1 decoded shards — peak memory is O(workers × shard),
 		// never O(container).
-		var fi os.FileInfo
-		if fi, err = inF.Stat(); err == nil {
-			var c *shard.Container
-			if c, err = shard.Open(inF, fi.Size()); err == nil {
-				if *origOrder {
-					// Identity-order containers fall straight through to
-					// DecompressTo inside; reordered (v5) containers sort
-					// back under the -sort-mem budget, spilling to
-					// -tmpdir.
-					err = c.DecompressOriginalTo(w, cons, *threads,
-						reorder.SortConfig{MemBudget: int64(*sortMem) << 20, TmpDir: *tmpDir})
-				} else {
-					err = c.DecompressTo(w, cons, *threads)
-				}
+		fi, err := inF.Stat()
+		if err != nil {
+			return err
+		}
+		c, err := shard.Open(inF, fi.Size())
+		if err != nil {
+			return err
+		}
+		return writeOutput(*out, func(w io.Writer) error {
+			if *origOrder {
+				// Identity-order containers fall straight through to
+				// DecompressTo inside; reordered (v5) containers sort
+				// back under the -sort-mem budget, spilling to -tmpdir.
+				return c.DecompressOriginalTo(w, cons, *threads,
+					reorder.SortConfig{MemBudget: int64(*sortMem) << 20, TmpDir: *tmpDir})
 			}
-		}
-	} else {
-		// Single-block containers are one codec block: the decoder
-		// needs it whole either way (and already decodes in input
-		// order, so -original-order is naturally satisfied). Reuse the
-		// open handle (the magic probe consumed its first 4 bytes)
-		// rather than reading the file a second time.
-		var data []byte
-		if data, err = io.ReadAll(io.MultiReader(bytes.NewReader(magic[:]), inF)); err == nil {
-			var rs *fastq.ReadSet
-			if rs, err = core.Decompress(data, cons); err == nil {
-				err = rs.Write(w)
-			}
-		}
+			return c.DecompressTo(w, cons, *threads)
+		})
 	}
-	if outF != nil {
-		// The close error matters: on a full disk the final flush fails
-		// here, and swallowing it would report a truncated FASTQ as
-		// success.
-		if cerr := outF.Close(); err == nil {
-			err = cerr
-		}
+	// Single-block containers are one codec block: the decoder needs it
+	// whole either way (and already decodes in input order, so
+	// -original-order is naturally satisfied). Reuse the open handle
+	// (the magic probe consumed its first 4 bytes) rather than reading
+	// the file a second time.
+	data, err := io.ReadAll(io.MultiReader(bytes.NewReader(magic[:]), inF))
+	if err != nil {
+		return err
 	}
-	return err
+	rs, err := core.Decompress(data, cons)
+	if err != nil {
+		return err
+	}
+	return writeOutput(*out, rs.Write)
 }
 
 func cmdFilter(args []string) error {
@@ -970,20 +838,11 @@ func cmdFilter(args []string) error {
 		return err
 	}
 	defer inF.Close()
-	w := io.Writer(os.Stdout)
-	var outF *os.File
-	if *out != "" {
-		if outF, err = os.Create(*out); err != nil {
-			return err
-		}
-		w = outF
-	}
-	st, err := c.Filter(w, cons, pred, *threads)
-	if outF != nil {
-		if cerr := outF.Close(); err == nil {
-			err = cerr
-		}
-	}
+	var st *shard.FilterStats
+	err = writeOutput(*out, func(w io.Writer) (err error) {
+		st, err = c.Filter(w, cons, pred, *threads)
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -1148,7 +1007,7 @@ func cmdServe(args []string) error {
 				_, rerr := io.ReadFull(pf, magic[:])
 				pf.Close()
 				if rerr == nil && core.IsContainer(magic[:]) {
-					return fmt.Errorf("serve: %s is a single-block container; only sharded containers are servable (recompress with -shard-reads > 0)", path)
+					return fmt.Errorf("serve: %s is a single-block container; only sharded containers are servable (decompress and compress again)", path)
 				}
 			}
 			return err
@@ -1226,7 +1085,7 @@ func cmdInstorage(args []string) error {
 	}
 	if !shard.IsContainer(data) {
 		if core.IsContainer(data) {
-			return fmt.Errorf("instorage: %s is a single-block container; the dispatch engine needs shards (recompress with -shard-reads > 0)", *in)
+			return fmt.Errorf("instorage: %s is a single-block container; the dispatch engine needs shards (decompress and compress again)", *in)
 		}
 		return fmt.Errorf("instorage: %s is not a SAGe container", *in)
 	}

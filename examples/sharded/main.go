@@ -70,13 +70,13 @@ func main() {
 	// an io.Reader batch by batch, without the read set in memory.
 	var buf bytes.Buffer
 	br := fastq.NewBatchReader(bytes.NewReader(raw), opt.ShardReads)
-	if _, err := shard.CompressStream(br, &buf, opt); err != nil {
+	if _, err := shard.CompressPipeline(br, &buf, opt); err != nil {
 		log.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), data) {
 		log.Fatal("streamed container differs from in-memory container")
 	}
-	fmt.Println("streaming: CompressStream produced byte-identical output")
+	fmt.Println("streaming: CompressPipeline produced byte-identical output")
 
 	// 6. Parallel decompression, reassembled in order.
 	got, err := shard.Decompress(data, nil, 4)

@@ -13,8 +13,8 @@ import (
 	"sage/internal/shard"
 )
 
-// This file benchmarks multi-file ingest (shard.CompressSources): real
-// sequencing runs arrive as many FASTQ files — lane splits and R1/R2
+// This file benchmarks multi-file ingest (shard.CompressPipeline over a
+// fastq.MultiReader): real sequencing runs arrive as many FASTQ files — lane splits and R1/R2
 // paired-end mates — and file-aware sharding cuts a shard boundary at
 // every file boundary. That buys per-file attribution (the v3 source
 // manifest) at the cost of short tail shards, so the experiment
@@ -165,7 +165,7 @@ func (s *Suite) IngestExperiment() (*Table, error) {
 	}
 
 	// Sanity-anchor the model with one real end-to-end ingest run: all
-	// lanes of the widest split streamed through CompressSources.
+	// lanes of the widest split streamed through CompressPipeline.
 	mr, err = fastq.NewMultiReader(splitRecords(m.Gen.Reads, ingestFileCounts[len(ingestFileCounts)-1]), shardReads)
 	if err != nil {
 		return nil, err
@@ -174,7 +174,7 @@ func (s *Suite) IngestExperiment() (*Table, error) {
 	opt.ShardReads = shardReads
 	var buf bytes.Buffer
 	start := time.Now()
-	st, err := shard.CompressSources(mr, &buf, opt)
+	st, err := shard.CompressPipeline(mr, &buf, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ import (
 // experiment measures the compressed-size win on a clustered synthetic
 // dataset whose input order maximally scatters the clusters, verifies
 // the identity pipeline is a pure refactor (byte-identical to the
-// streaming writer), forces the out-of-core external sort path, and
+// in-memory writer), forces the out-of-core external sort path, and
 // proves exact original-order recovery.
 
 // reorderClusters is the number of interleaved clusters in the
@@ -111,18 +111,22 @@ func (s *Suite) ReorderExperiment() (*Table, error) {
 	opt := shard.DefaultOptions(ref)
 	opt.ShardReads = reorderShardReads
 
-	// Identity pipeline: must be byte-identical to the plain streaming
-	// writer — the staged-ingest refactor is free on the wire.
-	var streamBuf, identBuf bytes.Buffer
-	if _, err := shard.CompressStream(fastq.NewBatchReader(bytes.NewReader(input), opt.ShardReads), &streamBuf, opt); err != nil {
+	// Identity pipeline: the streaming writer must be byte-identical to
+	// the in-memory one — the staged-ingest path is free on the wire.
+	rs, err := fastq.Parse(bytes.NewReader(input))
+	if err != nil {
 		return nil, err
 	}
+	inMem, _, err := shard.Compress(rs, opt)
+	if err != nil {
+		return nil, err
+	}
+	var identBuf bytes.Buffer
 	if _, err := shard.CompressPipeline(fastq.NewBatchReader(bytes.NewReader(input), opt.ShardReads), &identBuf, opt); err != nil {
 		return nil, err
 	}
-	pure := bytes.Equal(streamBuf.Bytes(), identBuf.Bytes())
-	if !pure {
-		return nil, fmt.Errorf("bench: identity pipeline is not byte-identical to the streaming writer")
+	if !bytes.Equal(inMem, identBuf.Bytes()) {
+		return nil, fmt.Errorf("bench: identity pipeline is not byte-identical to the in-memory writer")
 	}
 
 	// Clump-reordered, with a memory budget far below the dataset so

@@ -290,41 +290,13 @@ func (st *Stage) emit() (fastq.Batch, bool, error) {
 // share small keys with high probability. Reads too short for a window
 // (or all-N) key to MaxUint64 and clump together at the end.
 func clumpKey(seq genome.Seq, k int) uint64 {
-	const worst = ^uint64(0)
-	best := worst
-	shift := uint(2 * (k - 1))
-	mask := (uint64(1) << (2 * k)) - 1
-	var fwd, rc uint64
-	run := 0
-	for _, b := range seq {
-		if b > 3 {
-			run, fwd, rc = 0, 0, 0
-			continue
+	best := ^uint64(0)
+	genome.ForEachCanonicalKmer(seq, k, func(code uint64) {
+		if h := genome.Mix64(code); h < best {
+			best = h
 		}
-		fwd = ((fwd << 2) | uint64(b)) & mask
-		rc = (rc >> 2) | (uint64(3-b) << shift)
-		run++
-		if run >= k {
-			code := fwd
-			if rc < fwd {
-				code = rc
-			}
-			if h := mix64(code); h < best {
-				best = h
-			}
-		}
-	}
+	})
 	return best
-}
-
-// mix64 is the splitmix64 finalizer (same scatter as the zone-map
-// sketch), decorrelating the packed k-mer codes so minimizers are
-// uniform rather than biased toward low-complexity sequence.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Restorer recovers original input order from a permuted record

@@ -40,9 +40,10 @@
 // client can resume a partial shard fetch.
 //
 // The /files endpoints exist for containers written by multi-file
-// ingest (shard.CompressSources, container format v3): every shard is
-// attributed to the input file — or R1/R2 mate pair — it came from, so
-// an analysis client can pull exactly one lane's or one sample's shards.
+// ingest (shard.CompressPipeline over a fastq.MultiReader, container
+// format v3): every shard is attributed to the input file — or R1/R2
+// mate pair — it came from, so an analysis client can pull exactly one
+// lane's or one sample's shards.
 // Containers without a manifest answer 404 there.
 //
 // Decoded shards are kept in one byte-budgeted LRU cache shared by all

@@ -8,14 +8,16 @@
 //
 // # Writing
 //
-// Compress packs an in-memory read set; CompressStream streams one
-// FASTQ input batch by batch; CompressSources ingests many input files
-// at once — lane splits or paired-end R1/R2 mates via fastq.MultiReader
-// — into a single container whose shard boundaries are file-aware (no
-// shard spans two source files) and whose header carries a source-file
+// CompressPipeline is the one writer: it drains a fastq.BatchSource —
+// one FASTQ stream batch by batch (fastq.BatchReader), many input files
+// at once (lane splits or paired-end R1/R2 mates via fastq.MultiReader),
+// optionally behind the similarity-reorder stage — into a single
+// container. Multi-file sources make shard boundaries file-aware (no
+// shard spans two source files) and give the header a source-file
 // manifest attributing every shard to the file, or mate pair, it came
-// from. All three are deterministic: any worker count produces
-// identical bytes.
+// from. Compress is its in-memory adaptor for a read set already
+// loaded. Both are deterministic: any worker count produces identical
+// bytes.
 //
 // # Reading
 //

@@ -116,58 +116,33 @@ func (s *sliceSource) Next() (fastq.Batch, error) {
 	return b, nil
 }
 
-// Compress splits rs into shards and compresses them concurrently. The
-// output is deterministic: any worker count produces identical bytes.
+// Compress splits an in-memory read set into shards and compresses them
+// concurrently through CompressPipeline, returning the container bytes.
+// It writes exactly what CompressPipeline writes for a
+// fastq.BatchReader over rs's FASTQ text.
 func Compress(rs *fastq.ReadSet, opt Options) ([]byte, *Stats, error) {
 	var buf bytes.Buffer
-	st, err := compress(&sliceSource{batches: rs.Batches(opt.shardReads())}, &buf, opt)
+	st, err := CompressPipeline(&sliceSource{batches: rs.Batches(opt.shardReads())}, &buf, opt)
 	if err != nil {
 		return nil, nil, err
 	}
 	return buf.Bytes(), st, nil
 }
 
-// CompressStream compresses batches from br as they arrive, writing the
-// finished container to w. Raw reads are bounded to one in-flight batch
-// per worker; only the (much smaller) compressed blocks are buffered
-// until the index can be written.
-func CompressStream(br *fastq.BatchReader, w io.Writer, opt Options) (*Stats, error) {
-	return compress(br, w, opt)
-}
-
-// CompressSources compresses batches from a multi-file reader — lane
-// splits via fastq.NewMultiReader, or paired-end R1/R2 mates via
-// fastq.NewPairedReader — into one container. mr's batches never span
-// two sources, so shard boundaries are file-aware, and the container
-// header gains a source manifest attributing every shard (and a
-// per-source read total) to the file or mate pair it came from.
-// mr defines the shard cut points: the container's recorded shard
-// target is mr's effective batch size (paired readers round it down to
-// even), not Options.ShardReads. Like the other writers, the output is
-// deterministic across worker counts.
-func CompressSources(mr *fastq.MultiReader, w io.Writer, opt Options) (*Stats, error) {
-	return CompressPipeline(mr, w, opt)
-}
-
-// CompressPipeline compresses batches from an arbitrary ingest
-// pipeline — a leaf reader, or stages wrapped around one (the
-// similarity-reorder stage, internal/reorder.Stage) — into one
-// container. The pipeline's capabilities are discovered structurally:
-// a stage exposing BatchSize() defines the recorded shard cut point, a
-// stage exposing Sources() contributes the source manifest, and a
-// stage exposing ReorderMode()/Perm() promotes the container to format
-// v5 with its inverse permutation. A bare BatchReader through this
-// path writes byte-for-byte what CompressStream writes — the identity
-// pipeline is free.
+// CompressPipeline compresses batches from an ingest pipeline into one
+// container written to w: a leaf reader (fastq.BatchReader for one
+// stream, fastq.MultiReader for lane splits or paired-end R1/R2 mates),
+// or stages wrapped around one (the similarity-reorder stage,
+// internal/reorder.Stage). The pipeline's capabilities are discovered
+// structurally: a stage exposing BatchSize() defines the recorded shard
+// cut point (paired readers round it down to even) in place of
+// Options.ShardReads, a stage exposing Sources() contributes the source
+// manifest, and a stage exposing ReorderMode()/Perm() promotes the
+// container to format v5 with its inverse permutation. Raw reads are
+// bounded to one in-flight batch per worker; only the (much smaller)
+// compressed blocks are buffered until the index can be written. The
+// output is deterministic: any worker count produces identical bytes.
 func CompressPipeline(src fastq.BatchSource, w io.Writer, opt Options) (*Stats, error) {
-	return compress(src, w, opt)
-}
-
-// compress runs the worker pool over the source's batches and
-// assembles the container into w. Manifest, shard-size, and reorder
-// metadata are taken from the source when it offers them (see
-// CompressPipeline).
-func compress(src fastq.BatchSource, w io.Writer, opt Options) (*Stats, error) {
 	if bs, ok := src.(interface{ BatchSize() int }); ok {
 		opt.ShardReads = bs.BatchSize()
 	}

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"sage/internal/fastq"
+	"sage/internal/genome"
 )
 
 // Zone maps: per-shard summary statistics computed at compress time and
@@ -88,51 +89,14 @@ func (z *ZoneMap) SketchFill() float64 {
 	return float64(set) / float64(len(z.Sketch)*8)
 }
 
-// mix64 is the splitmix64 finalizer, scattering the 2-bit-packed
-// canonical k-mer codes across the sketch.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// forEachCanonicalKmer walks seq's k-mer windows with a rolling 2-bit
-// code, skipping windows that contain an N (or any non-ACGT code), and
-// yields the canonical code min(forward, reverse-complement) of each —
-// orientation-invariant, so a reverse-complemented probe hits the same
-// bits.
-func forEachCanonicalKmer(seq []byte, fn func(code uint64)) {
-	const shift = 2 * (SketchK - 1)
-	mask := (uint64(1) << (2 * SketchK)) - 1
-	var fwd, rc uint64
-	run := 0
-	for _, b := range seq {
-		if b > 3 {
-			run, fwd, rc = 0, 0, 0
-			continue
-		}
-		fwd = ((fwd << 2) | uint64(b)) & mask
-		rc = (rc >> 2) | (uint64(3-b) << shift)
-		run++
-		if run >= SketchK {
-			if rc < fwd {
-				fn(rc)
-			} else {
-				fn(fwd)
-			}
-		}
-	}
-}
-
 // sketchAdd sets the bit of every canonical k-mer of seq.
 func sketchAdd(sketch []byte, seq []byte) {
 	nbits := uint64(len(sketch)) * 8
 	if nbits == 0 {
 		return
 	}
-	forEachCanonicalKmer(seq, func(code uint64) {
-		bit := mix64(code) % nbits
+	genome.ForEachCanonicalKmer(seq, SketchK, func(code uint64) {
+		bit := genome.Mix64(code) % nbits
 		sketch[bit>>3] |= 1 << (bit & 7)
 	})
 }
@@ -147,8 +111,8 @@ func sketchMayContain(sketch []byte, probe []byte) bool {
 		return true
 	}
 	may := true
-	forEachCanonicalKmer(probe, func(code uint64) {
-		bit := mix64(code) % nbits
+	genome.ForEachCanonicalKmer(probe, SketchK, func(code uint64) {
+		bit := genome.Mix64(code) % nbits
 		if sketch[bit>>3]&(1<<(bit&7)) == 0 {
 			may = false
 		}
